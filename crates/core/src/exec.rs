@@ -31,6 +31,11 @@ use crate::problem::Problem;
 // for ranks to map onto parcel priorities byte-for-byte.
 const _: () = assert!(Priority::CLASSES as usize == PRIORITY_CLASSES);
 
+/// The least urgent class a lattice split's deferred bulk may run at (the
+/// simulator mirrors it).  The last class is left to the short
+/// continuations next to the sinks.
+const BULK_FLOOR_LEVEL: u8 = Priority::CLASSES - 2;
+
 /// How the executor grades task and parcel priorities.
 #[derive(Clone, Debug, Default)]
 pub enum SchedPolicy {
@@ -760,6 +765,8 @@ impl<K: Kernel> ExecCtx<K> {
                 // Boundary-first: deferred bulk that feeds a remote consumer
                 // runs one class earlier, so its parcel overlaps the
                 // remaining local bulk instead of serializing at the tail.
+                // The bulk never sinks below `BULK_FLOOR_LEVEL`: it is one
+                // long serial task, and started last it would become the tail.
                 let lcos = self.lcos.read();
                 let prio = edges
                     .iter()
@@ -773,7 +780,8 @@ impl<K: Kernel> ExecCtx<K> {
                         }
                     })
                     .min()
-                    .unwrap_or(Priority::Normal);
+                    .unwrap_or(Priority::Normal)
+                    .min(Priority::class(BULK_FLOOR_LEVEL));
                 drop(lcos);
                 let this = Arc::clone(self);
                 let data_copy = data.to_vec();
@@ -809,28 +817,41 @@ impl<K: Kernel> ExecCtx<K> {
         let mut shared: Option<Arc<[f64]>> = None;
         // (locality, edge flat indices)
         let mut remote: Vec<(u32, Vec<u32>)> = Vec::new();
+        let mut local: Vec<u32> = Vec::new();
         for (i, e) in dag.out_edges(id).iter().enumerate() {
             if !self.edge_selected(e, sel) {
                 continue;
             }
+            let eid = node.first_edge + i as u32;
             let dst_loc = lcos[e.dst as usize].locality;
             if dst_loc == ctx.locality {
-                self.apply_edge(
-                    ctx,
-                    id,
-                    node.first_edge + i as u32,
-                    e,
-                    data,
-                    &mut shared,
-                    &lcos,
-                );
+                local.push(eid);
             } else {
                 match remote.iter_mut().find(|(l, _)| *l == dst_loc) {
-                    Some((_, v)) => v.push(node.first_edge + i as u32),
-                    None => remote.push((dst_loc, vec![node.first_edge + i as u32])),
+                    Some((_, v)) => v.push(eid),
+                    None => remote.push((dst_loc, vec![eid])),
                 }
             }
         }
+        // Parcels leave after the local edges, except under the lattice:
+        // there they leave first (boundary-first), so a remote consumer
+        // never waits behind this task's local work.
+        let sends_first = self.lattice.is_some();
+        if sends_first {
+            self.send_remote(ctx, id, data, std::mem::take(&mut remote));
+        }
+        for &eid in &local {
+            let e = dag.edges()[eid as usize];
+            self.apply_edge(ctx, id, eid, &e, data, &mut shared, &lcos);
+        }
+        if !sends_first {
+            self.send_remote(ctx, id, data, remote);
+        }
+    }
+
+    /// Ship this node's remote edges: one parcel per destination locality
+    /// carrying the node's data and the edge ids to apply there.
+    fn send_remote(&self, ctx: &TaskCtx, id: u32, data: &[f64], remote: Vec<(u32, Vec<u32>)>) {
         if remote.is_empty() {
             return;
         }
@@ -843,15 +864,11 @@ impl<K: Kernel> ExecCtx<K> {
                 payload.extend_from_slice(&eid.to_le_bytes());
             }
             encode_f64s(data, &mut payload);
-            // A coalesced parcel inherits the most urgent rank among its
-            // edges' destinations, so the wire and the receiving run queue
-            // see the same lattice the local scheduler does.
+            // A parcel carries its producer's rank: the remote edges are
+            // the rest of this node's continuation, so the wire and the
+            // receiving run queue see the urgency the lattice gave it.
             let prio = match &self.lattice {
-                Some(lat) => edge_ids
-                    .iter()
-                    .map(|&eid| Priority::class(lat.rank(dag.edges()[eid as usize].dst)))
-                    .min()
-                    .unwrap_or(Priority::Normal),
+                Some(lat) => Priority::class(lat.rank(id)),
                 None => Priority::Normal,
             };
             ctx.send(Parcel::graded(

@@ -1,24 +1,32 @@
 //! Lazily built, cached per-level operator tables for one kernel.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use dashmm_kernels::Kernel;
+use dashmm_kernels::{Kernel, PlaneWaveQuad};
 use parking_lot::Mutex;
 
 use crate::params::AccuracyParams;
-use crate::tables::LevelTables;
+use crate::tables::{planewave_spec, LevelTables};
+
+/// A plane-wave rule derived at most once; concurrent requests for the same
+/// rule wait on the cell instead of deriving it again.
+type RuleCell = Arc<OnceLock<Arc<PlaneWaveQuad>>>;
 
 /// All operator tables of one FMM instance: one [`LevelTables`] per tree
 /// level, built on first use.  Shared (via `Arc`) by every task of the
 /// evaluation, so construction cost is paid once and amortised over the
 /// many evaluations of the iterative use case the paper targets (§IV).
+///
+/// Plane-wave rules are memoised per `(eps, scaled screening)`: every
+/// Laplace level shares one rule, and a Yukawa level derives its own.
 pub struct OperatorLibrary<K: Kernel> {
     kernel: K,
     params: AccuracyParams,
     root_side: f64,
     with_planewave: bool,
     levels: Mutex<HashMap<u8, Arc<LevelTables>>>,
+    rules: Mutex<HashMap<(u64, u64), RuleCell>>,
 }
 
 impl<K: Kernel> OperatorLibrary<K> {
@@ -33,6 +41,7 @@ impl<K: Kernel> OperatorLibrary<K> {
             root_side,
             with_planewave,
             levels: Mutex::new(HashMap::new()),
+            rules: Mutex::new(HashMap::new()),
         }
     }
 
@@ -64,15 +73,25 @@ impl<K: Kernel> OperatorLibrary<K> {
         // Build outside the lock: table assembly is expensive and other
         // levels' lookups must not stall behind it.  A racing builder for
         // the same level wastes one build; the first insert wins.
-        let t = Arc::new(LevelTables::build(
+        let side = self.side_at(level);
+        let quad = self.with_planewave.then(|| self.planewave_rule(side));
+        let t = Arc::new(LevelTables::build_with_quad(
             &self.kernel,
             &self.params,
             level,
-            self.side_at(level),
-            self.with_planewave,
+            side,
+            quad,
         ));
         let mut map = self.levels.lock();
         Arc::clone(map.entry(level).or_insert(t))
+    }
+
+    /// The plane-wave rule for boxes of side `side`, derived on first use.
+    fn planewave_rule(&self, side: f64) -> Arc<PlaneWaveQuad> {
+        let spec = planewave_spec(&self.kernel, &self.params, side);
+        let key = (spec.eps.to_bits(), spec.kappa.to_bits());
+        let cell = Arc::clone(self.rules.lock().entry(key).or_default());
+        Arc::clone(cell.get_or_init(|| Arc::new(PlaneWaveQuad::build(spec))))
     }
 
     /// Number of levels built so far.
@@ -121,6 +140,22 @@ mod tests {
             (k4 - 0.25).abs() < 1e-12,
             "level 4 side 0.125 → κ̂ = 0.25, got {k4}"
         );
+    }
+
+    #[test]
+    fn laplace_levels_share_one_derived_rule() {
+        let lib = OperatorLibrary::new(Laplace, AccuracyParams::three_digit(), 2.0, true);
+        let (t2, t3, t5) = (lib.tables(2), lib.tables(3), lib.tables(5));
+        let q = t2.quad().unwrap();
+        assert!(std::ptr::eq(q, t3.quad().unwrap()));
+        assert!(std::ptr::eq(q, t5.quad().unwrap()));
+    }
+
+    #[test]
+    fn yukawa_levels_derive_their_own_rules() {
+        let lib = OperatorLibrary::new(Yukawa::new(2.0), AccuracyParams::three_digit(), 2.0, true);
+        let (a, b) = (lib.tables(3), lib.tables(4));
+        assert!(!std::ptr::eq(a.quad().unwrap(), b.quad().unwrap()));
     }
 
     #[test]

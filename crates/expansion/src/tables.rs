@@ -38,6 +38,17 @@ pub fn rotate_into(d: Direction, p: Point3) -> (f64, f64, f64) {
     }
 }
 
+/// The plane-wave rule spec for boxes of side `side`: directional `L2`
+/// geometry at the accuracy target, with the kernel's screening scaled to
+/// the box side (0 for Laplace, so every level shares one rule).
+pub(crate) fn planewave_spec<K: Kernel>(
+    kernel: &K,
+    params: &AccuracyParams,
+    side: f64,
+) -> QuadSpec {
+    QuadSpec::for_l2(params.eps, kernel.scaled_screening(side))
+}
+
 /// Operator tables for one tree level.
 pub struct LevelTables {
     level: u8,
@@ -64,7 +75,7 @@ pub struct LevelTables {
     /// *child* level; the source expansion belongs to the parent).
     l2l: [Matrix; 8],
     /// Plane-wave quadrature (present when intermediate expansions are on).
-    quad: Option<PlaneWaveQuad>,
+    quad: Option<Arc<PlaneWaveQuad>>,
     /// `M→I` per direction: maps up-equivalent densities to the stacked
     /// `[Re; Im]` outgoing plane-wave coefficients.
     m2i: Vec<Matrix>,
@@ -79,13 +90,30 @@ pub struct LevelTables {
 }
 
 impl LevelTables {
-    /// Assemble the tables for boxes of side `side` at `level`.
+    /// Assemble the tables for boxes of side `side` at `level`, deriving the
+    /// plane-wave rule when `with_planewave` is set.
     pub fn build<K: Kernel>(
         kernel: &K,
         params: &AccuracyParams,
         level: u8,
         side: f64,
         with_planewave: bool,
+    ) -> Self {
+        let quad = with_planewave
+            .then(|| Arc::new(PlaneWaveQuad::build(planewave_spec(kernel, params, side))));
+        Self::build_with_quad(kernel, params, level, side, quad)
+    }
+
+    /// Assemble the tables with a given plane-wave rule (`None` disables
+    /// intermediate expansions).  The rule must have been derived for
+    /// this kernel's screening at this side and the accuracy target, as
+    /// [`LevelTables::build`] does; `OperatorLibrary` passes memoised ones.
+    pub(crate) fn build_with_quad<K: Kernel>(
+        kernel: &K,
+        params: &AccuracyParams,
+        level: u8,
+        side: f64,
+        quad: Option<Arc<PlaneWaveQuad>>,
     ) -> Self {
         let h = side * 0.5;
         let q = params.surface_q;
@@ -120,9 +148,7 @@ impl LevelTables {
             dc2de.matmul(&eval_matrix(kernel, &dc_pts, &shifted))
         });
 
-        let (quad, m2i, i2l) = if with_planewave {
-            let kappa = kernel.scaled_screening(side);
-            let quad = PlaneWaveQuad::build(QuadSpec::for_l2(params.eps, kappa));
+        let (m2i, i2l) = if let Some(quad) = quad.as_deref() {
             let t = quad.num_terms();
             let mut m2i = Vec::with_capacity(6);
             let mut i2l = Vec::with_capacity(6);
@@ -158,9 +184,9 @@ impl LevelTables {
                 }
                 i2l.push(dc2de.matmul(&ev));
             }
-            (Some(quad), m2i, i2l)
+            (m2i, i2l)
         } else {
-            (None, Vec::new(), Vec::new())
+            (Vec::new(), Vec::new())
         };
 
         LevelTables {
@@ -206,7 +232,7 @@ impl LevelTables {
 
     /// The plane-wave quadrature, if built.
     pub fn quad(&self) -> Option<&PlaneWaveQuad> {
-        self.quad.as_ref()
+        self.quad.as_deref()
     }
 
     /// Upward equivalent surface points (box-center relative).

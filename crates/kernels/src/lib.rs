@@ -12,11 +12,13 @@
 //! * a parallel **direct summation** oracle ([`direct::direct_sum`]) used to
 //!   validate every multipole method against the exact O(N²) answer,
 //! * [`gauss::gauss_legendre`] nodes/weights,
-//! * [`sommerfeld::PlaneWaveQuad`] — a numerically *self-validating*
-//!   discretisation of the Sommerfeld integral representation of both
-//!   kernels, which is the mathematical substrate of the plane-wave
-//!   (intermediate, `I`) expansions of the merge-and-shift technique.
+//! * [`sommerfeld::PlaneWaveQuad`] — generalized-Gaussian discretisations
+//!   of the Sommerfeld integral representation of both kernels, derived
+//!   for any accuracy and scaled screening and validated before use; they
+//!   are the mathematical substrate of the plane-wave (intermediate, `I`)
+//!   expansions of the merge-and-shift technique.
 
+mod bessel;
 pub mod direct;
 pub mod gauss;
 pub mod kernel;
@@ -27,4 +29,4 @@ pub use direct::{direct_sum, direct_sum_at};
 pub use gauss::gauss_legendre;
 pub use kernel::{Gauss, Kernel, KernelKind, Laplace, Yukawa};
 pub use simd::simd_kernels_active;
-pub use sommerfeld::{PlaneWaveQuad, QuadSpec};
+pub use sommerfeld::{LambdaNode, PlaneWaveQuad, QuadSpec};

@@ -17,7 +17,10 @@
 //! * [`svd_jacobi`] — a one-sided Jacobi SVD, accurate for the small
 //!   (≲ 1000²) operator matrices used here,
 //! * [`pinv`] / [`pinv_tikhonov`] — truncated and Tikhonov-regularised
-//!   pseudo-inverses built on the SVD.
+//!   pseudo-inverses built on the SVD,
+//! * [`PivotedQr`] — column-pivoted Householder QR with least-squares
+//!   solves on leading column subsets (the plane-wave rule derivation's
+//!   node selection).
 //!
 //! Everything is deliberately allocation-conscious: hot paths
 //! ([`Matrix::matvec_into`], [`Matrix::matvec_acc`]) write into caller-owned
@@ -26,9 +29,11 @@
 mod cholesky;
 mod gemm;
 mod matrix;
+mod qr;
 mod svd;
 
 pub use cholesky::{cholesky, CholeskyFactor};
 pub use gemm::{fma_kernel_active, gemm_acc_panels, gemm_acc_portable, NR};
 pub use matrix::Matrix;
+pub use qr::PivotedQr;
 pub use svd::{pinv, pinv_tikhonov, svd_jacobi, Svd};

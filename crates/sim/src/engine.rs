@@ -88,6 +88,11 @@ enum Part {
 /// mirrors the measured scheduler's class for class.
 const NORMAL_CLASS: u8 = (PRIORITY_CLASSES / 2) as u8;
 
+/// The least urgent class a lattice split's deferred bulk may run at, the
+/// runtime's `BULK_FLOOR_LEVEL`.  The last class is left to the short
+/// continuations next to the sinks.
+const BULK_FLOOR_CLASS: u8 = (PRIORITY_CLASSES - 2) as u8;
+
 #[derive(Clone)]
 enum TaskKind {
     /// Continuation of a triggered DAG node: process (part of) its
@@ -264,7 +269,9 @@ fn sim_core(
             if has_urgent && has_bulk {
                 // Boundary-first: bulk that feeds a remote consumer runs one
                 // class earlier so its transfer overlaps the remaining local
-                // bulk instead of serializing at the tail.
+                // bulk instead of serializing at the tail.  The bulk never
+                // sinks below `BULK_FLOOR_CLASS`: it is one long serial task,
+                // and started last it would become the run's tail.
                 let bulk_prio = edges
                     .iter()
                     .filter(|e| !edge_urgent(lat, e))
@@ -277,7 +284,8 @@ fn sim_core(
                         }
                     })
                     .min()
-                    .unwrap_or(NORMAL_CLASS);
+                    .unwrap_or(NORMAL_CLASS)
+                    .min(BULK_FLOOR_CLASS);
                 return vec![
                     SimTask {
                         kind: TaskKind::Node(id, Part::Urgent),
@@ -400,6 +408,7 @@ fn sim_core(
                 TaskKind::Node(id, part) => {
                     // Local edges processed sequentially; remote edges
                     // grouped per destination locality.
+                    let mut local: Vec<(u32, DagEdge)> = Vec::new();
                     let mut remote: Vec<(u32, Vec<u32>, u64)> = Vec::new();
                     let first = dag.node(id).first_edge;
                     for (i, e) in dag.out_edges(id).iter().enumerate() {
@@ -416,17 +425,7 @@ fn sim_core(
                         }
                         let dst_loc = node_loc(e.dst);
                         if dst_loc as usize == loc {
-                            let start = t;
-                            t += cost.edge_us(e.op);
-                            if cfg.trace {
-                                trace_events.push(TraceEvent::tagged(
-                                    e.op.index() as u8,
-                                    first + i as u32,
-                                    (start * 1000.0) as u64,
-                                    (t * 1000.0) as u64,
-                                ));
-                            }
-                            push(&mut heap, &mut evs, &mut seq, t, Ev::Deliver(e.dst));
+                            local.push((first + i as u32, *e));
                         } else if net.coalesce.enabled {
                             // One parcel per destination: the expansion data
                             // travels once, plus a small descriptor per edge —
@@ -458,17 +457,35 @@ fn sim_core(
                             ));
                         }
                     }
-                    // Messages posted at task end.  A coalesced bundle
-                    // inherits the most urgent rank among its edges'
-                    // destinations — the same grade the real transport
+                    macro_rules! run_local_edges {
+                        () => {
+                            for &(ei, e) in &local {
+                                let start = t;
+                                t += cost.edge_us(e.op);
+                                if cfg.trace {
+                                    trace_events.push(TraceEvent::tagged(
+                                        e.op.index() as u8,
+                                        ei,
+                                        (start * 1000.0) as u64,
+                                        (t * 1000.0) as u64,
+                                    ));
+                                }
+                                push(&mut heap, &mut evs, &mut seq, t, Ev::Deliver(e.dst));
+                            }
+                        };
+                    }
+                    // Messages are posted at task end, except under the
+                    // lattice: there they leave before the local edges run
+                    // (boundary-first), so a remote consumer never waits
+                    // behind this task's local work.  A bundle carries its
+                    // producer's rank, the same grade the real transport
                     // stamps on the wire.
+                    if lattice.is_none() {
+                        run_local_edges!();
+                    }
                     for (dst_loc, list, b) in remote {
                         let bundle_prio = match lattice {
-                            Some(lat) => list
-                                .iter()
-                                .map(|&ei| lat.rank(dag.edges()[ei as usize].dst))
-                                .min()
-                                .unwrap_or(NORMAL_CLASS),
+                            Some(lat) => lat.rank(id),
                             None => task.prio,
                         };
                         t += net.send_overhead_us;
@@ -523,6 +540,9 @@ fn sim_core(
                                 },
                             ),
                         );
+                    }
+                    if lattice.is_some() {
+                        run_local_edges!();
                     }
                 }
                 TaskKind::Remote { edges, phase: _ } => {
@@ -903,6 +923,46 @@ mod tests {
             first_s2m(&graded),
             first_s2m(&fifo)
         );
+    }
+
+    #[test]
+    fn lattice_sends_remote_parcels_before_local_edges() {
+        use dashmm_dag::LatticeHint;
+        // One source with four local S→T edges and one remote S→T edge.
+        // FIFO posts the parcel at task end; the lattice posts it first, so
+        // the remote edge runs while the local ones are still going.
+        let mut b = DagBuilder::new();
+        let s = b.add_node(NodeClass::S, 0, 2, 8);
+        for i in 0..4 {
+            let t = b.add_node(NodeClass::T, i, 2, 8);
+            b.add_edge(s, EdgeOp::S2T, t, 8, 0);
+        }
+        let far = b.add_node(NodeClass::T, 9, 2, 8);
+        b.add_edge(s, EdgeOp::S2T, far, 8, 0);
+        let mut d = b.finish();
+        d.set_locality(far, 1);
+        let lat = dashmm_dag::PriorityLattice::compute(&d, &LatticeHint::uniform());
+        let c = SimConfig {
+            trace: true,
+            ..cfg(2, 1)
+        };
+        let remote_start = |r: &SimResult| {
+            r.trace
+                .all_events()
+                .find(|e| e.tag == 4)
+                .map(|e| e.start_ns)
+                .unwrap()
+        };
+        let fifo = simulate(&d, &cm(10.0), &NetworkModel::ideal(), &c);
+        let graded = simulate_lattice(&d, &cm(10.0), &NetworkModel::ideal(), &c, &lat);
+        assert_eq!(
+            remote_start(&fifo),
+            40_000,
+            "FIFO sends after 4 local edges"
+        );
+        assert_eq!(remote_start(&graded), 0, "the lattice sends first");
+        assert_eq!(fifo.makespan_us, 50.0);
+        assert_eq!(graded.makespan_us, 40.0);
     }
 
     #[test]
